@@ -23,6 +23,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/cluster/affinity_router.h"
 #include "src/cluster/replica_set.h"
 #include "src/common/rng.h"
 #include "src/core/engine.h"
@@ -127,17 +128,50 @@ struct RecoveryPoint {
   bool recovered;  // every request reached a successful terminal result
 };
 
-// Queue the whole backlog on a 3-replica set (one lane each, so queues are
-// real), then trip replica 0 immediately: everything queued there must
-// move and finish elsewhere.
-RecoveryPoint RunRecovery(const std::vector<ScoringRequest>& workload) {
+// Recovery workload: one prefix family whose first block routes to replica
+// 0 of `n_replicas`, `prefix_tokens` shared plus a distinct
+// `suffix_tokens` tail per request.
+std::vector<ScoringRequest> RecoveryWorkload(int n_requests, int n_replicas,
+                                             int vnodes, int64_t prefix_tokens,
+                                             int64_t suffix_tokens) {
+  const AffinityRouter router(n_replicas, vnodes);
+  const int block_size = BenchEngineOptions().block_size;
+  Rng rng(11);
+  std::vector<int32_t> prefix(static_cast<size_t>(prefix_tokens));
+  do {
+    for (auto& t : prefix) {
+      t = static_cast<int32_t>(rng.NextBounded(256));
+    }
+  } while (router.Primary(AffinityKey(prefix, block_size)) != 0);
+  std::vector<ScoringRequest> requests;
+  for (int i = 0; i < n_requests; ++i) {
+    ScoringRequest request;
+    request.user_id = i;
+    request.tokens = prefix;
+    for (int64_t t = 0; t < suffix_tokens; ++t) {
+      request.tokens.push_back(static_cast<int32_t>(rng.NextBounded(256)));
+    }
+    request.allowed_tokens = {10, 20};
+    requests.push_back(std::move(request));
+  }
+  return requests;
+}
+
+// Queue a backlog on replica 0 of a 3-replica set (one lane each, so queues
+// are real), then trip it immediately: everything queued there must move
+// and finish elsewhere. The backlog builds because the workload's prefix is
+// primed on replica 0 first: there each request costs a suffix-long miss,
+// elsewhere a full one, so earliest-finish routing keeps about
+// (prefix + suffix) / suffix of them on replica 0 before spilling.
+RecoveryPoint RunRecovery(const std::vector<ScoringRequest>& workload,
+                          const ScoringRequest& primer) {
   ReplicaSetOptions options;
   options.n_replicas = 3;
   options.engine = BenchEngineOptions();
   options.engine.max_concurrent_requests = 1;
-  options.spill_margin = 1000;  // keep affinity absolute so queues build
   options.health_poll_ms = 0;
   ReplicaSet set(options);
+  (void)set.Score(primer);
   const auto t0 = std::chrono::steady_clock::now();
   std::vector<Engine::ResponseFuture> futures;
   futures.reserve(workload.size());
@@ -206,9 +240,17 @@ int main() {
                 static_cast<long long>(p.routed_spill));
   }
 
-  const RecoveryPoint recovery = RunRecovery(workload);
+  constexpr int64_t kRecoveryPrefix = 240;
+  constexpr int64_t kRecoverySuffix = 16;
+  const auto recovery_workload =
+      RecoveryWorkload(kRequests + 1, 3, ReplicaSetOptions().vnodes_per_replica,
+                       kRecoveryPrefix, kRecoverySuffix);
+  const RecoveryPoint recovery = RunRecovery(
+      {recovery_workload.begin() + 1, recovery_workload.end()}, recovery_workload[0]);
   std::printf("\nkill-one-replica recovery (3 replicas, one lane each, "
-              "replica 0 tripped at t=0):\n");
+              "%lld+%lld-token prompts primed on replica 0, tripped at t=0):\n",
+              static_cast<long long>(kRecoveryPrefix),
+              static_cast<long long>(kRecoverySuffix));
   std::printf("  %d/%d requests completed in %.4f s; %lld queued requests "
               "failed over (%lld withdrawals); recovered: %s\n",
               recovery.completed, recovery.requests, recovery.seconds,

@@ -336,8 +336,10 @@ struct Client::Impl {
     }
     auto body = Json::Parse(response.value().body);
     if (!body.ok()) {
-      return Status::Internal("remote response is not JSON: " +
-                              body.status().message());
+      // Malformed or hostile (e.g. nested past Json::kMaxDepth): the parse
+      // error's own code, kInvalidArgument, which no retry policy repeats.
+      return Status::InvalidArgument("remote response is not JSON: " +
+                                     body.status().message());
     }
     return ParseScoringResponse(body.value());
   }

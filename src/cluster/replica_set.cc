@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "src/common/fault.h"
+#include "src/common/hash.h"
 #include "src/common/logging.h"
 
 namespace prefillonly {
@@ -98,42 +99,63 @@ void ReplicaSet::LazyTransitionsLocked(double now) {
   }
 }
 
-std::vector<int> ReplicaSet::CandidateOrderLocked(uint64_t key, double now) {
-  LazyTransitionsLocked(now);
-  std::vector<int> ready;
-  std::vector<int> overloaded;
-  for (int r : router_.PreferenceOrder(key)) {
-    if (!AdmittingLocked(r)) {
-      continue;
+std::vector<ReplicaSet::Candidate> ReplicaSet::CandidateOrder(
+    const std::vector<std::shared_ptr<Record>>& records, uint64_t key) {
+  std::vector<Candidate> ready;
+  std::vector<Candidate> overloaded;
+  bool probe_first = false;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    LazyTransitionsLocked(NowSeconds());
+    for (int r : router_.PreferenceOrder(key)) {
+      if (!AdmittingLocked(r)) {
+        continue;
+      }
+      Candidate candidate;
+      candidate.replica = r;
+      // Health-gated routing: an engine that is actively shedding goes to
+      // the back of the order instead of out of it — if EVERY candidate is
+      // overloaded the request still reaches one, so its 429 propagates
+      // honestly instead of turning into a vague 503.
+      const bool shedding = engines_[static_cast<size_t>(r)]->Health() ==
+                            Engine::HealthStatus::kOverloaded;
+      (shedding ? overloaded : ready).push_back(std::move(candidate));
     }
-    // Health-gated routing: an engine that is actively shedding goes to the
-    // back of the order instead of out of it — if EVERY candidate is
-    // overloaded the request still reaches one, so its 429 propagates
-    // honestly instead of turning into a vague 503.
-    if (engines_[static_cast<size_t>(r)]->Health() ==
-        Engine::HealthStatus::kOverloaded) {
-      overloaded.push_back(r);
-    } else {
-      ready.push_back(r);
-    }
+    // A half-open replica whose probe slot is free keeps the front: the
+    // probe must be admitted for its breaker to close, whatever its cache.
+    probe_first = !ready.empty() &&
+                  states_[static_cast<size_t>(ready[0].replica)].breaker ==
+                      BreakerState::kHalfOpen;
   }
-  if (!ready.empty()) {
-    int64_t min_outstanding = states_[static_cast<size_t>(ready[0])].outstanding;
-    for (int r : ready) {
-      min_outstanding =
-          std::min(min_outstanding, states_[static_cast<size_t>(r)].outstanding);
+  if (ready.size() >= 2) {
+    // Earliest estimated finish. The estimates read each replica's live
+    // cache (engine cache_mu_), so they run without mu_; the backlogs are
+    // read after them.
+    for (const auto& record : records) {
+      if (record->chain.empty()) {
+        record->chain = BlockHashChain(record->request.tokens,
+                                       options_.engine.block_size);
+      }
     }
-    // Load-aware spill: stickiness holds while the affinity target is within
-    // spill_margin of the least-loaded candidate; past that, load wins (the
-    // stable_sort keeps ring order among equals, so the re-sort is still
-    // deterministic).
-    if (states_[static_cast<size_t>(ready[0])].outstanding >
-        min_outstanding + options_.spill_margin) {
-      std::stable_sort(ready.begin(), ready.end(), [this](int a, int b) {
-        return states_[static_cast<size_t>(a)].outstanding <
-               states_[static_cast<size_t>(b)].outstanding;
-      });
+    for (Candidate& c : ready) {
+      const Engine& engine = *engines_[static_cast<size_t>(c.replica)];
+      c.charges.reserve(records.size());
+      for (const auto& record : records) {
+        c.charges.push_back(engine.EstimateMissTokens(
+            record->chain, static_cast<int64_t>(record->request.tokens.size())));
+        c.estimate += c.charges.back();
+      }
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (Candidate& c : ready) {
+        c.cost = states_[static_cast<size_t>(c.replica)].backlog + c.estimate;
+      }
+    }
+    // stable_sort: ring order among equal costs.
+    std::stable_sort(
+        ready.begin() + (probe_first ? 1 : 0), ready.end(),
+        [](const Candidate& a, const Candidate& b) { return a.cost < b.cost; });
   }
   ready.insert(ready.end(), overloaded.begin(), overloaded.end());
   return ready;
@@ -198,15 +220,12 @@ Status ReplicaSet::RouteRecords(const std::vector<std::shared_ptr<Record>>& reco
   const uint64_t key =
       AffinityKey(records[0]->request.tokens, options_.engine.block_size);
   const int primary = router_.Primary(key);
-  std::vector<int> order;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    order = CandidateOrderLocked(key, NowSeconds());
-  }
+  const std::vector<Candidate> order = CandidateOrder(records, key);
   FaultInjector& injector = FaultInjector::Global();
   Status last = Status::Unavailable(
       "no replica is admitting requests (all tripped, probing, or draining)");
-  for (int r : order) {
+  for (const Candidate& candidate : order) {
+    const int r = candidate.replica;
     ReplicaState& st = states_[static_cast<size_t>(r)];
     // Injected router-side latency: the hand-off wedges for stall_ms before
     // the replica sees anything (a slow interconnect, a GC'd sidecar).
@@ -232,8 +251,10 @@ Status ReplicaSet::RouteRecords(const std::vector<std::shared_ptr<Record>>& reco
       // completion hook may fire before SubmitGroupAsync returns, and
       // Complete needs record->replica to be right by then.
       st.outstanding += n;
+      st.backlog += candidate.estimate;
       for (size_t i = 0; i < records.size(); ++i) {
         records[i]->replica = r;
+        records[i]->charge = candidate.charges.empty() ? 0 : candidate.charges[i];
         records[i]->engine_id = -1;
         records[i]->is_probe = probe;
         attempts[i] = ++records[i]->attempt;
@@ -247,9 +268,11 @@ Status ReplicaSet::RouteRecords(const std::vector<std::shared_ptr<Record>>& reco
       {
         std::lock_guard<std::mutex> lock(mu_);
         st.outstanding -= n;
+        st.backlog -= candidate.estimate;
         st.counters.admit_failures += 1;
         for (auto& record : records) {
           record->replica = -1;
+          record->charge = 0;
           record->is_probe = false;
         }
         if (probe) {
@@ -306,8 +329,10 @@ Status ReplicaSet::RouteRecords(const std::vector<std::shared_ptr<Record>>& reco
     {
       std::lock_guard<std::mutex> lock(mu_);
       st.outstanding -= n;
+      st.backlog -= candidate.estimate;
       for (auto& record : records) {
         record->replica = -1;
+        record->charge = 0;
         record->is_probe = false;
       }
       if (transient) {
@@ -444,6 +469,8 @@ void ReplicaSet::Complete(const std::shared_ptr<Record>& record,
     const int r = record->replica;
     ReplicaState& st = states_[static_cast<size_t>(r)];
     st.outstanding -= 1;
+    st.backlog -= record->charge;
+    record->charge = 0;
     if (record->is_probe) {
       record->is_probe = false;
       st.probe_in_flight = false;
@@ -597,6 +624,7 @@ std::vector<ReplicaSnapshot> ReplicaSet::Replicas() const {
     snapshot.draining = st.draining;
     snapshot.drained = st.draining && st.outstanding == 0;
     snapshot.outstanding = st.outstanding;
+    snapshot.backlog_tokens = st.backlog;
     snapshot.engine_health = engines_[static_cast<size_t>(r)]->Health();
     snapshot.admitting =
         AdmittingLocked(r) &&

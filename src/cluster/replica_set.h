@@ -7,10 +7,13 @@
 //   * PREFIX-AFFINITY ROUTING: requests route by consistent hashing on the
 //     first cache block's tokens (AffinityRouter), so each replica's radix
 //     PrefixCache concentrates hits instead of diluting them N ways;
-//   * LOAD-AWARE SPILL: when the affinity target's outstanding depth exceeds
-//     the least-loaded eligible replica by more than `spill_margin`, the
-//     candidate order re-sorts by load — stickiness is a preference, not a
-//     hot-spot guarantee;
+//   * EARLIEST ESTIMATED FINISH: with two or more replicas admitting, the
+//     candidates are ordered by backlog + estimate — the cache-miss-proxy
+//     JCT (SRJF's own estimator, §5) of the request on that replica's live
+//     cache, plus the estimates admitted there and not yet completed. Ring
+//     order breaks ties, so cold keys on an idle cluster still go to the
+//     primary, and a hot prefix spills by itself once its replica's backlog
+//     exceeds a full miss elsewhere;
 //   * PER-REPLICA CIRCUIT BREAKER: closed → open after
 //     `breaker_trip_failures` consecutive strikes (failed hand-offs, engine
 //     overload shed, kInternal completions, health-probe faults) → half-open
@@ -64,9 +67,6 @@ struct ReplicaSetOptions {
 
   // Ring smoothness (AffinityRouter vnodes per replica).
   int vnodes_per_replica = 64;
-  // Load-aware spill: stay sticky while the affinity target's outstanding
-  // depth is within this margin of the least-loaded eligible replica.
-  int64_t spill_margin = 4;
 
   // Circuit breaker: consecutive strikes to open, and how long open lasts
   // before a half-open probe is allowed.
@@ -93,7 +93,7 @@ std::string_view BreakerStateName(BreakerState state);
 // EngineStats; these count what the ReplicaSet did AROUND the engine).
 struct ReplicaCounters {
   int64_t routed_affinity = 0;   // requests admitted here as the primary
-  int64_t routed_spill = 0;      // admitted here by load spill or fallback
+  int64_t routed_spill = 0;      // admitted here, not the ring primary
   int64_t admit_failures = 0;    // failed hand-offs (injected/shed) observed
   int64_t breaker_trips = 0;     // closed→open transitions (reopens included)
   int64_t half_open_probes = 0;  // probe requests admitted while half-open
@@ -111,6 +111,7 @@ struct ReplicaSnapshot {
   bool draining = false;
   bool drained = false;  // draining and nothing left queued or in flight
   int64_t outstanding = 0;
+  int64_t backlog_tokens = 0;  // miss-token estimates of the outstanding work
   Engine::HealthStatus engine_health = Engine::HealthStatus::kOk;
   ReplicaCounters counters;
   EngineStats engine;
@@ -194,6 +195,11 @@ class ReplicaSet {
   struct Record {
     int64_t cluster_id = -1;
     ScoringRequest request;  // kept for failover re-submit
+    // BlockHashChain of request.tokens, hashed by the first routing that
+    // estimates (so once per request, failover re-submits included; a
+    // prompt shorter than one block has no chain to hash).
+    std::vector<uint64_t> chain;
+    int64_t charge = 0;  // backlog charged to `replica` for this record
     std::shared_ptr<std::promise<Result<ScoringResponse>>> promise;
     int replica = -1;
     int64_t engine_id = -1;
@@ -214,6 +220,7 @@ class ReplicaSet {
     bool probe_in_flight = false;
     bool draining = false;
     int64_t outstanding = 0;  // admitted here, not yet completed
+    int64_t backlog = 0;      // sum of those records' charges
     ReplicaCounters counters;
   };
 
@@ -225,14 +232,28 @@ class ReplicaSet {
     int64_t engine_id = -1;
   };
 
+  // One replica to try, with what admitting `records` there would charge
+  // its backlog: per record (empty when no estimate was computed) and
+  // summed over the group.
+  struct Candidate {
+    int replica = -1;
+    std::vector<int64_t> charges;
+    int64_t estimate = 0;
+    int64_t cost = 0;  // backlog + estimate: the estimated finish
+  };
+
   double NowSeconds() const;
   bool AdmittingLocked(int r) const;
   void LazyTransitionsLocked(double now);
-  // Candidate replicas in try-order for `key`: ring order, ineligible
-  // replicas dropped, load-spill re-sort applied, engine-overloaded
+  // Candidate replicas in try-order for `records` keyed by `key`: ring
+  // order with ineligible replicas dropped, then re-sorted by earliest
+  // estimated finish when two or more replicas are ready (a half-open
+  // front keeps its place, so its probe is admitted), engine-overloaded
   // replicas deferred to the back (still tried, so single-replica shed
-  // propagates honestly as 429).
-  std::vector<int> CandidateOrderLocked(uint64_t key, double now);
+  // propagates honestly as 429). Takes mu_ itself; the cache estimates run
+  // without it.
+  std::vector<Candidate> CandidateOrder(
+      const std::vector<std::shared_ptr<Record>>& records, uint64_t key);
   // A strike against r; trips the breaker (collecting failover work) after
   // breaker_trip_failures consecutive ones.
   void StrikeLocked(int r, std::vector<FailoverItem>& out);

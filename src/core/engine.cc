@@ -404,6 +404,21 @@ std::vector<Engine::Candidate> Engine::SnapshotQueueLocked() const {
   return candidates;
 }
 
+int64_t Engine::LiveMatchTokensLocked(std::span<const uint64_t> chain,
+                                      int64_t n_input) const {
+  const int64_t gpu_match = cache_->MatchTokens(chain);
+  const int64_t offload_match =
+      offload_dir_->PeekContinuation(chain, gpu_match / options_.block_size) *
+      options_.block_size;
+  return std::min(gpu_match + offload_match, n_input - 1);
+}
+
+int64_t Engine::EstimateMissTokens(std::span<const uint64_t> chain,
+                                   int64_t n_input) const {
+  std::lock_guard<std::mutex> cache_lock(cache_mu_);
+  return n_input - LiveMatchTokensLocked(chain, n_input);
+}
+
 Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candidates,
                                            const Scheduler* scheduler) const {
   assert(!candidates.empty());
@@ -419,13 +434,8 @@ Engine::BatchDecision Engine::PickBatchIds(const std::vector<Candidate>& candida
       entry.priority = c.priority;
       entry.group = c.group;
       // Continuous JCT calibration: the hit length is refreshed against the
-      // live cache on every decision. Offloaded blocks count as cached:
-      // their reload is far cheaper than recomputation.
-      const int64_t gpu_match = cache_->MatchTokens(*c.chain);
-      const int64_t offload_match =
-          offload_dir_->PeekContinuation(*c.chain, gpu_match / options_.block_size) *
-          options_.block_size;
-      const int64_t match = std::min(gpu_match + offload_match, entry.n_input - 1);
+      // live cache on every decision.
+      const int64_t match = LiveMatchTokensLocked(*c.chain, entry.n_input);
       entry.n_cached_at_arrival = match;  // static policies are approximated
       entry.n_cached_now = calibrate ? match : entry.n_cached_at_arrival;
       entries.push_back(entry);

@@ -357,6 +357,13 @@ class Engine {
   enum class HealthStatus { kOk, kDegraded, kOverloaded };
   HealthStatus Health() const;
 
+  // Cache-miss-proxy JCT estimate of a request with block hash chain
+  // `chain` (BlockHashChain at this engine's block_size) and `n_input`
+  // tokens, were it scheduled here now: n_input minus the prefix the live
+  // cache tiers would serve, the same match PickBatchIds refreshes SRJF
+  // with. Read-only (no LRU touch, no stats); takes cache_mu_ briefly.
+  int64_t EstimateMissTokens(std::span<const uint64_t> chain, int64_t n_input) const;
+
   EngineStats stats() const;
   // Seconds since engine construction (the queueing-time clock).
   double NowSeconds() const;
@@ -481,6 +488,11 @@ class Engine {
   };
   BatchDecision PickBatchIds(const std::vector<Candidate>& candidates,
                              const Scheduler* scheduler) const;
+  // Tokens of an n_input-token request the live cache tiers would serve:
+  // the GPU match plus its offload continuation (offloaded blocks count as
+  // cached, their reload is far cheaper than recomputation), capped so the
+  // last token is always computed. Requires cache_mu_.
+  int64_t LiveMatchTokensLocked(std::span<const uint64_t> chain, int64_t n_input) const;
   // Removes and returns the waiting request with `id`; nullopt if another
   // drain loop claimed it meanwhile. Requires mu_.
   std::optional<Pending> TakeWaitingLocked(int64_t id);

@@ -26,6 +26,7 @@ struct WorkerShard {
   int64_t errors = 0;
   int64_t shed = 0;
   int64_t terminal = 0;  // all results observed, warmup included
+  double last_result_s = 0.0;  // latest measured terminal result, since t0
   double first_error_at_s = -1.0;
   std::string first_error;
 };
@@ -88,10 +89,12 @@ RunReport RunLoad(LoadTarget& target, const std::vector<LoadItem>& items,
       // Open-loop latency: completion minus SCHEDULED send. If this worker
       // was late to fire (all workers busy), that lateness is server-induced
       // queueing and belongs in the number.
-      const double latency_s = SecondsSince(t0) - scheduled;
+      const double done_s = SecondsSince(t0);
+      const double latency_s = done_s - scheduled;
       ++shard.terminal;
       if (scheduled >= warmup_s) {
         ++shard.measured;
+        shard.last_result_s = std::max(shard.last_result_s, done_s);
         shard.latency.Record(latency_s);
         if (result.ok) {
           ++shard.ok;
@@ -120,7 +123,9 @@ RunReport RunLoad(LoadTarget& target, const std::vector<LoadItem>& items,
   report.stats_after = target.Stats();
 
   int64_t terminal = 0;
+  double last_result_s = 0.0;
   for (WorkerShard& shard : shards) {
+    last_result_s = std::max(last_result_s, shard.last_result_s);
     report.dispatched += shard.dispatched;
     report.measured += shard.measured;
     report.ok += shard.ok;
@@ -139,18 +144,25 @@ RunReport RunLoad(LoadTarget& target, const std::vector<LoadItem>& items,
   // calling side; a nonzero difference means a request vanished.
   report.lost = report.dispatched - terminal;
 
-  // Rates over the measured schedule window (scheduled span, so the offered
-  // rate reflects the arrival process, not server-side stretching).
+  // The offered rate is over the measured window's scheduled span (the
+  // arrival process); the achieved and goodput rates run from the window's
+  // first scheduled send to its last result, so a server that falls behind
+  // the arrivals shows it instead of being credited with the schedule.
   const double window_start = std::max(warmup_s, schedule.front());
   const double window = std::max(schedule.back() - window_start, 1e-9);
+  const double served = std::max(last_result_s - window_start, 1e-9);
   report.offered_qps = static_cast<double>(report.measured) / window;
-  report.achieved_qps = report.offered_qps;  // open loop: all requests return
-  report.goodput_qps = static_cast<double>(report.ok) / window;
+  report.achieved_qps = static_cast<double>(report.measured) / served;
+  report.goodput_qps = static_cast<double>(report.ok) / served;
   report.error_rate =
       report.measured > 0
           ? static_cast<double>(report.errors) / static_cast<double>(report.measured)
           : 0.0;
   return report;
+}
+
+bool RunReport::Backlogged() const {
+  return achieved_qps < kMinAchievedShare * offered_qps;
 }
 
 bool SweepReport::GatePassed() const {
@@ -175,7 +187,9 @@ Json SweepReport::ToJson() const {
     Json::Object row;
     row.emplace("rate_qps", point.rate);
     row.emplace("offered_qps", r.offered_qps);
+    row.emplace("achieved_qps", r.achieved_qps);
     row.emplace("goodput_qps", r.goodput_qps);
+    row.emplace("backlogged", r.Backlogged());
     row.emplace("dispatched", r.dispatched);
     row.emplace("measured", r.measured);
     row.emplace("ok", r.ok);
@@ -223,7 +237,8 @@ SweepReport RunSweep(LoadTarget& target, const std::string& workload,
     for (const RatePoint& point : sweep.points) {
       const double p99_ms = point.report.latency.Percentile(0.99) * 1e3;
       if (point.report.measured > 0 && p99_ms <= options.slo_p99_ms &&
-          point.report.lost == 0 && point.report.BalanceOk()) {
+          point.report.lost == 0 && point.report.BalanceOk() &&
+          !point.report.Backlogged()) {
         sweep.max_qps_slo = std::max(sweep.max_qps_slo, point.rate);
       }
     }

@@ -56,9 +56,12 @@ struct RunOptions {
 };
 
 struct RunReport {
-  double offered_qps = 0.0;   // from the schedule's measured-window span
-  double achieved_qps = 0.0;  // terminal results / measured span
-  double goodput_qps = 0.0;   // successful results / measured span
+  // offered: measured requests / their scheduled span. achieved, goodput:
+  // measured terminal / successful results over the span from the first
+  // measured scheduled send to the last measured result.
+  double offered_qps = 0.0;
+  double achieved_qps = 0.0;
+  double goodput_qps = 0.0;
   int64_t dispatched = 0;     // total requests sent (warmup included)
   int64_t measured = 0;       // results in the measured window
   int64_t ok = 0;             // successful, measured window
@@ -78,6 +81,10 @@ struct RunReport {
   // buckets (completed/failed/cancelled/cancelled_in_flight/
   // deadline_expired/deadline_expired_in_flight).
   bool BalanceOk() const;
+  // The target fell behind the arrivals: achieved_qps below
+  // kMinAchievedShare of offered_qps, so the run ended with a backlog.
+  static constexpr double kMinAchievedShare = 0.8;
+  bool Backlogged() const;
 };
 
 RunReport RunLoad(LoadTarget& target, const std::vector<LoadItem>& items,
@@ -102,8 +109,9 @@ struct SweepReport {
   int n_replicas = 1;
   double slo_p99_ms = 0.0;
   std::vector<RatePoint> points;
-  // Highest offered rate with p99 within the SLO, zero lost requests, and a
-  // balanced ledger; 0 when no point qualifies (or no SLO was set).
+  // Highest offered rate with p99 within the SLO, zero lost requests, a
+  // balanced ledger and no backlog; 0 when no point qualifies (or no SLO
+  // was set).
   double max_qps_slo = 0.0;
 
   // Zero lost requests and a balanced engine ledger at EVERY rate — the

@@ -95,11 +95,15 @@ class Parser {
       return Fail("unexpected end of input");
     }
     const char c = text_[pos_];
-    if (c == '{') {
-      return ParseObject();
-    }
-    if (c == '[') {
-      return ParseArray();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxDepth) {
+        return Fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+                    " levels");
+      }
+      ++depth_;
+      auto nested = c == '{' ? ParseObject() : ParseArray();
+      --depth_;
+      return nested;
     }
     if (c == '"') {
       auto s = ParseString();
@@ -282,6 +286,7 @@ class Parser {
   }
 
   std::string_view text_;
+  int depth_ = 0;  // arrays/objects open around the cursor
   size_t pos_ = 0;
 };
 

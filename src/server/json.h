@@ -58,6 +58,10 @@ class Json {
   std::string_view TypeName() const;
 
   std::string Serialize() const;
+  // Deepest array/object nesting Parse accepts. The parser recurses once
+  // per level, so an unbounded depth lets a body of '[' bytes overflow the
+  // stack; deeper input is kInvalidArgument like any other malformed JSON.
+  static constexpr int kMaxDepth = 256;
   static Result<Json> Parse(std::string_view text);
 
  private:

@@ -429,6 +429,7 @@ Json ReplicaSnapshotJson(const ReplicaSnapshot& replica) {
   out.emplace("draining", Json(replica.draining));
   out.emplace("drained", Json(replica.drained));
   out.emplace("outstanding", Json(replica.outstanding));
+  out.emplace("backlog_tokens", Json(replica.backlog_tokens));
   switch (replica.engine_health) {
     case Engine::HealthStatus::kOk:
       out.emplace("engine_health", Json("ok"));

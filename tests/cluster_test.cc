@@ -92,11 +92,12 @@ int64_t Terminal(const EngineStats& stats) {
 }
 
 // A prompt whose affinity primary is `target` under `ref`: vary the seed
-// until the first block hashes there (deterministic, converges in a few
-// tries for any reasonable replica count).
+// from `first_seed` until the first block hashes there (deterministic,
+// converges in a few tries for any reasonable replica count).
 std::vector<int32_t> TokensWithPrimary(const AffinityRouter& ref, int target,
-                                       int block_size, int64_t n = 48) {
-  for (uint64_t seed = 1;; ++seed) {
+                                       int block_size, int64_t n = 48,
+                                       uint64_t first_seed = 1) {
+  for (uint64_t seed = first_seed;; ++seed) {
     std::vector<int32_t> tokens = Tokens(n, seed);
     if (ref.Primary(AffinityKey(tokens, block_size)) == target) {
       return tokens;
@@ -233,9 +234,13 @@ TEST(ReplicaSetTest, DrainStopsAdmissionAndRejoinRestores) {
   EXPECT_EQ(set.engine(1).stats().submitted, 1);
   EXPECT_EQ(set.Replicas()[1].counters.routed_spill, 1);
 
+  // Rejoined, replica 0 is the primary again for a prefix that replica 1
+  // does not cache (`tokens` itself now finishes first on replica 1).
   ASSERT_TRUE(set.Rejoin(0).ok());
   EXPECT_EQ(set.Health(), Engine::HealthStatus::kOk);
-  ASSERT_TRUE(set.Score(YesNoRequest(tokens)).ok());
+  const std::vector<int32_t> fresh = TokensWithPrimary(
+      ref, /*target=*/0, options.engine.block_size, 48, /*first_seed=*/1000);
+  ASSERT_TRUE(set.Score(YesNoRequest(fresh)).ok());
   EXPECT_EQ(set.engine(0).stats().submitted, 1);
   EXPECT_EQ(set.Replicas()[0].counters.routed_affinity, 1);
 
@@ -264,6 +269,142 @@ TEST(ReplicaSetTest, ClusterIdsResolveAcrossTheWholeLifecycle) {
   EXPECT_EQ(set.Phase(id), Engine::RequestPhase::kUnknown);
   EXPECT_EQ(set.Cancel(id).code(), StatusCode::kNotFound);
   EXPECT_EQ(set.Cancel(999999).code(), StatusCode::kNotFound);
+}
+
+// ----------------------------------------- earliest-estimated-finish routing
+
+// Hot-prefix fixture: two replicas, one lane each. HotVariant(base, i)
+// shares base's first 240 tokens and differs in its last block, so once a
+// variant is cached on a replica each other variant costs kHotTail miss
+// tokens there and a full kHotTokens miss anywhere else.
+constexpr int64_t kHotTokens = 256;
+constexpr int64_t kHotTail = 16;
+
+ReplicaSetOptions HotPrefixOptions() {
+  ReplicaSetOptions options = TinyClusterOptions(2);
+  options.engine.max_concurrent_requests = 1;
+  return options;
+}
+
+std::vector<int32_t> HotVariant(const std::vector<int32_t>& base, int32_t i) {
+  std::vector<int32_t> tokens = base;
+  tokens[static_cast<size_t>(kHotTokens - kHotTail)] = 100 + i;
+  return tokens;
+}
+
+// Submits variants 0..n-1. Callers prime HotVariant(base, -1) first and
+// then wedge the next execution (exec.stall) for the rest of the test, so
+// nothing completes while they submit and assert: backlogs only grow.
+std::vector<Engine::ResponseFuture> SubmitHotBurst(
+    ReplicaSet& set, const std::vector<int32_t>& base, int32_t n) {
+  std::vector<Engine::ResponseFuture> futures;
+  for (int32_t i = 0; i < n; ++i) {
+    auto submission = set.Submit(YesNoRequest(HotVariant(base, i)));
+    EXPECT_TRUE(submission.ok());
+    if (submission.ok()) {
+      futures.push_back(std::move(submission.value().future));
+    }
+  }
+  return futures;
+}
+
+TEST(EarliestFinishRoutingTest, HotPrefixStaysWhileBacklogIsBelowAFullMiss) {
+  const ReplicaSetOptions options = HotPrefixOptions();
+  const AffinityRouter ref(2, options.vnodes_per_replica);
+  const std::vector<int32_t> base =
+      TokensWithPrimary(ref, /*target=*/0, options.engine.block_size, kHotTokens);
+  ReplicaSet set(options);
+
+  // The k-th variant costs 16k (backlog) + 16 on replica 0 against 256 on
+  // idle replica 1: below for k < 15, a tie at k = 15 that ring order gives
+  // to the primary. All 16 stay with the cache.
+  constexpr int32_t kBurst = kHotTokens / kHotTail;
+  ASSERT_TRUE(set.Score(YesNoRequest(HotVariant(base, -1))).ok());
+  FaultScope scope("exec.stall=x1;stall_ms=300");
+  auto futures = SubmitHotBurst(set, base, kBurst);
+  EXPECT_EQ(set.Replicas()[0].backlog_tokens, kBurst * kHotTail);
+  EXPECT_EQ(set.Replicas()[1].backlog_tokens, 0);
+  EXPECT_EQ(set.engine(1).stats().submitted, 0);
+  EXPECT_EQ(set.Stats().cluster.routed_spill, 0);
+  for (auto& future : futures) {
+    EXPECT_TRUE(future.get().ok());
+  }
+  EXPECT_EQ(set.engine(0).stats().completed, kBurst + 1);
+}
+
+TEST(EarliestFinishRoutingTest, HotPrefixSpillsOnceBacklogPassesAFullMiss) {
+  const ReplicaSetOptions options = HotPrefixOptions();
+  const AffinityRouter ref(2, options.vnodes_per_replica);
+  const std::vector<int32_t> base =
+      TokensWithPrimary(ref, /*target=*/0, options.engine.block_size, kHotTokens);
+  ReplicaSet set(options);
+
+  // One past the tie: replica 0 would finish the 17th at 256 + 16, a full
+  // miss on idle replica 1 at 256.
+  constexpr int32_t kBurst = kHotTokens / kHotTail + 1;
+  ASSERT_TRUE(set.Score(YesNoRequest(HotVariant(base, -1))).ok());
+  FaultScope scope("exec.stall=x1;stall_ms=300");
+  auto futures = SubmitHotBurst(set, base, kBurst);
+  const auto replicas = set.Replicas();
+  EXPECT_EQ(replicas[0].backlog_tokens, (kBurst - 1) * kHotTail);
+  EXPECT_EQ(replicas[1].counters.routed_spill, 1);
+  EXPECT_EQ(set.engine(1).stats().submitted, 1);
+  for (auto& future : futures) {
+    EXPECT_TRUE(future.get().ok());
+  }
+}
+
+TEST(EarliestFinishRoutingTest, PrefixCachedOnlyOffItsPrimaryGoesThere) {
+  const ReplicaSetOptions options = TinyClusterOptions(2);
+  const AffinityRouter ref(2, options.vnodes_per_replica);
+  std::vector<int32_t> tokens =
+      TokensWithPrimary(ref, /*target=*/0, options.engine.block_size);
+  ReplicaSet set(options);
+  ASSERT_TRUE(set.Drain(0).ok());
+  ASSERT_TRUE(set.Score(YesNoRequest(tokens)).ok());  // cached on replica 1
+  ASSERT_TRUE(set.Rejoin(0).ok());
+
+  // Same first two blocks, new last block: 16 miss tokens on replica 1,
+  // 48 on the primary.
+  tokens[40] += 1;
+  ASSERT_TRUE(set.Score(YesNoRequest(tokens)).ok());
+  EXPECT_EQ(set.engine(0).stats().submitted, 0);
+  EXPECT_EQ(set.engine(1).stats().submitted, 2);
+  EXPECT_EQ(set.Stats().cluster.routed_affinity, 0);
+}
+
+TEST(EarliestFinishRoutingTest, ColdAndEqualCostKeysGoToTheRingPrimary) {
+  const ReplicaSetOptions options = TinyClusterOptions(3);
+  const AffinityRouter ref(3, options.vnodes_per_replica);
+  ReplicaSet set(options);
+
+  // Cold keys on an idle cluster cost a full miss everywhere.
+  std::vector<int64_t> expected(3, 0);
+  for (uint64_t family = 1; family <= 6; ++family) {
+    const std::vector<int32_t> tokens = Tokens(48, 50 + family);
+    ++expected[static_cast<size_t>(
+        ref.Primary(AffinityKey(tokens, options.engine.block_size)))];
+    ASSERT_TRUE(set.Score(YesNoRequest(tokens)).ok());
+  }
+  for (int r = 0; r < 3; ++r) {
+    EXPECT_EQ(set.engine(r).stats().submitted, expected[static_cast<size_t>(r)]);
+  }
+
+  // A prefix cached on every replica costs the same everywhere.
+  const std::vector<int32_t> shared = Tokens(48, 77);
+  const int primary = ref.Primary(AffinityKey(shared, options.engine.block_size));
+  for (int r = 0; r < 3; ++r) {
+    for (int other = 0; other < 3; ++other) {
+      ASSERT_TRUE((other == r ? set.Rejoin(other) : set.Drain(other)).ok());
+    }
+    ASSERT_TRUE(set.Score(YesNoRequest(shared)).ok());
+  }
+  for (int r = 0; r < 3; ++r) {
+    ASSERT_TRUE(set.Rejoin(r).ok());
+  }
+  const int64_t before = set.engine(primary).stats().submitted;
+  ASSERT_TRUE(set.Score(YesNoRequest(shared)).ok());
+  EXPECT_EQ(set.engine(primary).stats().submitted, before + 1);
 }
 
 // ------------------------------------------------ breaker + failover chaos
@@ -322,10 +463,12 @@ TEST(ChaosClusterTest, HandoffFaultTripsBreakerThenHalfOpenProbeRecloses) {
 TEST(ChaosClusterTest, TrippedReplicaFailsOverQueuedWorkExactlyOnce) {
   ReplicaSetOptions options = TinyClusterOptions(3);
   options.engine.max_concurrent_requests = 1;  // one lane => real queueing
-  options.spill_margin = 1000;                 // stickiness absolute
   const AffinityRouter ref(3, options.vnodes_per_replica);
+  // A long prefix primed on replica 1 (below) keeps the queue there: each
+  // request costs its 16-token last block on replica 1 against a full
+  // 464-token miss elsewhere, so replica 1 finishes all six first.
   const std::vector<int32_t> base =
-      TokensWithPrimary(ref, /*target=*/1, options.engine.block_size);
+      TokensWithPrimary(ref, /*target=*/1, options.engine.block_size, 464);
 
   // Golden results per request, from a solo engine before any faults.
   constexpr int kRequests = 6;
@@ -335,7 +478,7 @@ TEST(ChaosClusterTest, TrippedReplicaFailsOverQueuedWorkExactlyOnce) {
     Engine reference(TinyClusterEngineOptions());
     for (int32_t i = 0; i < kRequests; ++i) {
       std::vector<int32_t> tokens = base;
-      tokens[40] = 100 + i;  // same first block, distinct request
+      tokens[456] = 100 + i;  // same 448-token prefix, distinct request
       const auto expected = reference.ScoreSync(YesNoRequest(tokens));
       ASSERT_TRUE(expected.ok());
       golden.push_back(expected.value().probabilities);
@@ -344,6 +487,7 @@ TEST(ChaosClusterTest, TrippedReplicaFailsOverQueuedWorkExactlyOnce) {
   }
 
   ReplicaSet set(options);
+  ASSERT_TRUE(set.Score(YesNoRequest(base)).ok());
   // Wedge the FIRST execution for 100 ms: request 1 dispatches on the
   // primary and stalls, requests 2..6 stack up queued behind its one lane.
   FaultScope scope("exec.stall=x1;stall_ms=100");
@@ -371,7 +515,7 @@ TEST(ChaosClusterTest, TrippedReplicaFailsOverQueuedWorkExactlyOnce) {
   // 5 queued requests moved (6 if the trip won the race to request 1 too).
   EXPECT_GE(stats.cluster.failovers, 5);
   EXPECT_LE(stats.cluster.failovers, 6);
-  EXPECT_EQ(stats.totals.completed, kRequests);          // no double execution
+  EXPECT_EQ(stats.totals.completed, kRequests + 1);  // primer; no double execution
   EXPECT_EQ(stats.totals.cancelled, stats.cluster.failovers);  // withdrawals
   EXPECT_EQ(stats.replicas[1].breaker, BreakerState::kOpen);
   EXPECT_EQ(stats.replicas[1].counters.failed_over_out, stats.cluster.failovers);
@@ -386,6 +530,50 @@ TEST(ChaosClusterTest, TrippedReplicaFailsOverQueuedWorkExactlyOnce) {
   EXPECT_EQ(failed_over_in, stats.cluster.failovers);
   // ...and summed across the cluster.
   EXPECT_EQ(stats.totals.submitted, Terminal(stats.totals));
+}
+
+TEST(ChaosClusterTest, BacklogReturnsToZeroAfterDrainFailoverAndHandoffFaults) {
+  ReplicaSetOptions options = TinyClusterOptions(3);
+  options.engine.max_concurrent_requests = 1;
+  options.breaker_trip_failures = 1000;  // hand-off faults must not trip
+  const AffinityRouter ref(3, options.vnodes_per_replica);
+  const std::vector<int32_t> base =
+      TokensWithPrimary(ref, /*target=*/1, options.engine.block_size, kHotTokens);
+  ReplicaSet set(options);
+  ASSERT_TRUE(set.Score(YesNoRequest(HotVariant(base, -1))).ok());
+
+  // Every third hand-off fails and moves on to the next candidate; the
+  // first execution wedges, so replica 1 queues work that the trip below
+  // fails over, and replica 0 then drains what it took.
+  FaultScope scope("replica.submit=n3;exec.stall=x1;stall_ms=100");
+  std::vector<Engine::ResponseFuture> futures;
+  for (int32_t i = 0; i < 12; ++i) {
+    auto submission = set.Submit(YesNoRequest(HotVariant(base, i)));
+    ASSERT_TRUE(submission.ok()) << submission.status().ToString();
+    futures.push_back(std::move(submission.value().future));
+  }
+  int64_t charged = 0;
+  for (const ReplicaSnapshot& replica : set.Replicas()) {
+    charged += replica.backlog_tokens;
+  }
+  EXPECT_GT(charged, 0);
+  ASSERT_TRUE(set.Trip(1, "test kill switch").ok());
+  ASSERT_TRUE(set.Drain(0).ok());
+  for (auto& future : futures) {
+    const auto result = future.get();
+    EXPECT_TRUE(result.ok()) << result.status().ToString();
+  }
+
+  const ClusterStats stats = set.Stats();
+  EXPECT_GT(stats.cluster.failovers, 0);
+  EXPECT_GT(stats.replicas[1].counters.admit_failures +
+                stats.replicas[0].counters.admit_failures +
+                stats.replicas[2].counters.admit_failures,
+            0);
+  for (const ReplicaSnapshot& replica : stats.replicas) {
+    EXPECT_EQ(replica.outstanding, 0) << "replica " << replica.index;
+    EXPECT_EQ(replica.backlog_tokens, 0) << "replica " << replica.index;
+  }
 }
 
 TEST(ChaosClusterTest, MonitorHealthFaultsTripOnlyTheSickReplica) {
@@ -439,7 +627,6 @@ TEST(ChaosDegradeClusterTest, ShedHysteresisNeverFlapsAndClusterBalances) {
   options.engine.num_threads = 1;
   options.engine.max_concurrent_requests = 1;
   options.engine.shed_high_watermark = 3;  // low defaults to high/2 = 1
-  options.spill_margin = 1000000;          // no load spill
   options.breaker_trip_failures = 1000000;  // shed strikes must not trip
   const AffinityRouter ref(2, options.vnodes_per_replica);
   const std::vector<int32_t> prefix_a =

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "prefillonly/client.h"
 #include "src/server/http_server.h"
 
 namespace prefillonly {
@@ -117,6 +118,27 @@ TEST(HttpClientTest, ConnectionRefusedIsUnavailable) {
   // kUnavailable is the transient class the facade RetryPolicy retries.
   EXPECT_EQ(response.status().code(), StatusCode::kUnavailable);
   EXPECT_FALSE(client.connected());
+}
+
+TEST(HttpClientTest, HostileDeeplyNestedResponseIsInvalidArgument) {
+  // Regression: the client parses server bodies with the same parser as
+  // the server, which had no depth limit, so a hostile (or broken) server
+  // answering with 100 000 '[' bytes crashed the calling process.
+  HttpServer hostile([](const HttpRequest&) {
+    HttpResponse response;
+    response.body = std::string(100000, '[');
+    return response;
+  });
+  ASSERT_TRUE(hostile.Start(0).ok());
+  ClientOptions options;
+  options.endpoint = "127.0.0.1:" + std::to_string(hostile.port());
+  Client client(options);
+  const ScoreResult result = client.Score({1, 2, 3}, {10, 20});
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.error_code, "invalid_argument");
+  EXPECT_NE(result.error_message.find("nesting"), std::string::npos);
+  EXPECT_EQ(client.Stats().submitted, 0);  // unparseable stats read as zeros
+  hostile.Stop();
 }
 
 TEST(HttpClientTest, InvalidHostIsInvalidArgument) {

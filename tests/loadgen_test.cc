@@ -221,6 +221,19 @@ std::vector<LoadItem> ScaledPostRecItems(size_t max_items = 0) {
   return items;
 }
 
+std::vector<LoadItem> ScaledCreditItems(size_t max_items) {
+  Dataset dataset = MakeCreditVerificationDataset(ScaledCreditVerificationConfig(1));
+  std::vector<LoadItem> items;
+  for (SimRequest& request : dataset.requests) {
+    LoadItem item;
+    item.tokens = std::move(request.tokens);
+    item.user_id = request.user_id;
+    items.push_back(std::move(item));
+  }
+  items.resize(std::min(items.size(), max_items));
+  return items;
+}
+
 ClientOptions TinyClientOptions(int n_replicas = 1) {
   ClientOptions options;
   options.model = "tiny";
@@ -259,7 +272,10 @@ TEST(LoadgenRunnerTest, SweepReportsGateAndSloCurve) {
   const auto items = ScaledPostRecItems(16);
 
   SweepOptions options;
-  options.rates = {50.0, 200.0};
+  // Both rates stay below what the tiny engine serves even in sanitizer
+  // builds or beside other tests on a loaded host, so neither point ends
+  // with a backlog.
+  options.rates = {10.0, 20.0};
   options.seed = 11;
   options.slo_p99_ms = 60000.0;  // generous: every point should attain it
   options.run.concurrency = 4;
@@ -268,7 +284,7 @@ TEST(LoadgenRunnerTest, SweepReportsGateAndSloCurve) {
 
   ASSERT_EQ(sweep.points.size(), 2u);
   EXPECT_TRUE(sweep.GatePassed());
-  EXPECT_DOUBLE_EQ(sweep.max_qps_slo, 200.0);
+  EXPECT_DOUBLE_EQ(sweep.max_qps_slo, 20.0);
 
   const Json json = sweep.ToJson();
   ASSERT_TRUE(json.is_object());
@@ -284,6 +300,33 @@ TEST(LoadgenRunnerTest, SweepReportsGateAndSloCurve) {
     }
     EXPECT_EQ(point.Find("lost")->AsInt(), 0);
   }
+}
+
+TEST(LoadgenRunnerTest, SaturatedRatesSpanTheLastResultAndFailTheBacklogTest) {
+  // Regression: achieved and goodput rates were divided by the SCHEDULED
+  // span, so they equalled the offered rate whenever nothing failed, even
+  // far past saturation: credit on one replica at 2000 req/s reported
+  // goodput near the offered rate and max_qps_slo = 2000.
+  auto target = MakeInProcessTarget(TinyClientOptions());
+  const auto items = ScaledCreditItems(12);
+  ASSERT_EQ(items.size(), 12u);
+
+  SweepOptions options;
+  options.rates = {2000.0};
+  options.slo_p99_ms = 60000.0;  // latency alone cannot disqualify the point
+  options.run.concurrency = 4;
+  options.run.allowed = {7, 9};
+  const SweepReport sweep = RunSweep(*target, "credit", items, options);
+
+  ASSERT_EQ(sweep.points.size(), 1u);
+  const RunReport& report = sweep.points[0].report;
+  EXPECT_EQ(report.errors, 0) << report.first_error;
+  EXPECT_DOUBLE_EQ(report.achieved_qps, report.goodput_qps);
+  EXPECT_LT(report.goodput_qps, 0.5 * report.offered_qps);
+  EXPECT_TRUE(report.Backlogged());
+  EXPECT_DOUBLE_EQ(sweep.max_qps_slo, 0.0);
+  // The CI gate is about losing nothing, not about keeping up: it holds.
+  EXPECT_TRUE(sweep.GatePassed());
 }
 
 // ------------------------------------------------------------------- parity

@@ -59,6 +59,23 @@ TEST(JsonTest, RejectsMalformed) {
   EXPECT_FALSE(Json::Parse("nul").ok());
 }
 
+TEST(JsonTest, NestingDeeperThanTheCapIsRejected) {
+  const auto nested = [](int depth) {
+    return std::string(static_cast<size_t>(depth), '[') +
+           std::string(static_cast<size_t>(depth), ']');
+  };
+  EXPECT_TRUE(Json::Parse(nested(Json::kMaxDepth)).ok());
+  for (const std::string& text :
+       {nested(Json::kMaxDepth + 1), std::string(100000, '['),
+        std::string(100000, '[') + std::string(100000, ']'),
+        "{\"a\":" + nested(Json::kMaxDepth) + "}"}) {
+    auto parsed = Json::Parse(text);
+    ASSERT_FALSE(parsed.ok());
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("nesting"), std::string::npos);
+  }
+}
+
 TEST(JsonTest, SerializeRoundTrip) {
   Json::Object object;
   object.emplace("name", Json("prefill\"only\""));
@@ -459,6 +476,26 @@ TEST(ApiErrorModelTest, MalformedAllowedTokensGets400NotACrash) {
       service.Handle(Post("/v1/score", R"({"tokens":[1,"2"],"allowed_tokens":[10]})"))
           .status,
       400);
+}
+
+TEST(ApiErrorModelTest, DeeplyNestedBodyGets400NotACrash) {
+  // Regression: the recursive-descent parser had no depth limit, so a body
+  // of 100 000 '[' bytes overflowed the connection thread's stack and took
+  // the whole process down. Sent over a real socket, both JSON routes.
+  ScoringService service(SmallEngineOptions());
+  ASSERT_TRUE(service.Start(0).ok());
+  for (const char* route : {"/v1/score", "/v1/requests"}) {
+    const std::string response =
+        HttpRoundTrip(service.port(), PostRequest(route, std::string(100000, '[')));
+    EXPECT_NE(response.find("HTTP/1.1 400"), std::string::npos) << route;
+    const size_t json_start = response.find("\r\n\r\n");
+    ASSERT_NE(json_start, std::string::npos) << route;
+    auto body = Json::Parse(response.substr(json_start + 4));
+    ASSERT_TRUE(body.ok()) << route;
+    EXPECT_EQ(body.value().Find("error")->Find("code")->AsString(), "invalid_argument");
+  }
+  EXPECT_EQ(service.engine().stats().submitted, 0);
+  service.Stop();
 }
 
 TEST(ApiErrorModelTest, ExpiredDeadlineGets504BeforeDispatch) {
